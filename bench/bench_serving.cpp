@@ -283,7 +283,8 @@ bool RunArm(StrEngine* engine, size_t store_n, size_t dispatch_batch,
 }
 
 // Coalesced-arm goodput from a prior WT_OBS_OFF run's JSON, 0 when the
-// baseline has not been produced (the overhead gate then self-skips).
+// baseline has not been produced (a full instrumented run then fails its
+// overhead gate: run bench_serving_obs_off first, in the same directory).
 double ReadObsOffBaselineQps() {
   std::ifstream in("BENCH_serving_obs_off.json");
   if (!in) return 0;
@@ -432,20 +433,29 @@ bool RunAll() {
       coalesced.goodput_qps > 0 ? overload.goodput_qps / coalesced.goodput_qps
                                 : 0;
   const long rss_growth_kb = rss_after_kb - rss_before_kb;
-  // Overhead gate: only the instrumented build checks, and only against a
-  // baseline the obs-off twin actually produced (absent -> self-skip, so
-  // the bench stays runnable standalone).
+  // Overhead gate: only the instrumented build checks, against the
+  // baseline its obs-off twin wrote. A missing baseline fails the gate —
+  // an overhead that was never measured does not pass.
   const double obs_baseline_qps =
       wt::obs::kObsEnabled ? ReadObsOffBaselineQps() : 0;
   const double obs_ratio =
       obs_baseline_qps > 0 ? coalesced.goodput_qps / obs_baseline_qps : 0;
   bool pass = ok;
+  std::string obs_gate_why;
   if (!smoke) {
     pass = pass && speedup >= 3.0 && coalesced.p99_us < 1000.0 &&
            retained >= 0.8 && overload.shed > 0 &&
            rss_growth_kb < 256 * 1024;
-    if (obs_baseline_qps > 0) pass = pass && obs_ratio >= 0.98;
-    if (wt::obs::kObsEnabled) pass = pass && trace_ok;
+    if (wt::obs::kObsEnabled) {
+      if (obs_baseline_qps <= 0) {
+        obs_gate_why =
+            "obs-off baseline missing: BENCH_serving_obs_off.json not found "
+            "or unreadable (run bench_serving_obs_off first)";
+      } else if (obs_ratio < 0.98) {
+        obs_gate_why = "obs overhead ratio below 0.98";
+      }
+      pass = pass && obs_gate_why.empty() && trace_ok;
+    }
   }
 
   FILE* f = std::fopen(wt::obs::kObsEnabled ? "BENCH_serving.json"
@@ -532,6 +542,10 @@ bool RunAll() {
   std::fprintf(f, "    \"obs_off_baseline_qps\": %.0f,\n", obs_baseline_qps);
   std::fprintf(f, "    \"obs_overhead_ratio\": %.3f,\n", obs_ratio);
   std::fprintf(f, "    \"obs_overhead_required\": 0.98,\n");
+  if (!obs_gate_why.empty()) {
+    std::fprintf(f, "    \"obs_gate_failure\": \"%s\",\n",
+                 obs_gate_why.c_str());
+  }
   if (wt::obs::kObsEnabled) {
     std::fprintf(f,
                  "    \"trace\": {\"events\": %zu, \"dropped\": %llu, "
@@ -547,7 +561,7 @@ bool RunAll() {
       "%s: coalesced %.0f qps (p99 %.0f us) vs one-per "
       "%.0f qps (%.1fx); overload %.0f qps (%.0f%% retained, %llu shed, "
       "rss +%ld KB); accounting %s; obs ratio %.3f (baseline %.0f); "
-      "trace %zu events (%llu dropped) %s%s%s; pass=%s\n",
+      "trace %zu events (%llu dropped) %s%s%s; pass=%s%s%s%s\n",
       wt::obs::kObsEnabled ? "BENCH_serving.json"
                            : "BENCH_serving_obs_off.json",
       coalesced.goodput_qps, coalesced.p99_us, baseline.goodput_qps, speedup,
@@ -556,7 +570,8 @@ bool RunAll() {
       ok ? "balanced" : "VIOLATED", obs_ratio, obs_baseline_qps, trace_events,
       (unsigned long long)trace_dropped, trace_ok ? "valid" : "INVALID: ",
       trace_ok ? "" : trace_why.c_str(), wt::obs::kObsEnabled ? "" : " (off)",
-      pass ? "yes" : "no");
+      pass ? "yes" : "no", obs_gate_why.empty() ? "" : " (",
+      obs_gate_why.c_str(), obs_gate_why.empty() ? "" : ")");
   engine.reset();
   fs::remove_all(dir, ec);
   return pass;

@@ -21,10 +21,11 @@
 //   * cursor-based enumeration (cursor.hpp) instead of std::function
 //     visitors;
 //   * explicit lifecycle transitions: Freeze() (any policy -> Static, via
-//     the word-parallel BulkBuild) and Thaw<P>() (Static -> a mutable
-//     policy, via enumerate-and-replay: the Section 5 sequential scan feeds
-//     AppendBatch, so extraction pays one Rank per trie node and replay is
-//     word-parallel end to end);
+//     the node-by-node WaveletTrie::Concat, which copies each node's
+//     bitvector without extracting a string) and Thaw<P>() (Static -> a
+//     mutable policy, via enumerate-and-replay: the Section 5 sequential
+//     scan feeds AppendBatch, so extraction pays one Rank per trie node and
+//     replay is word-parallel end to end);
 //   * whole-structure persistence for ALL policies: Save/Load wrap a
 //     versioned, checksummed envelope (common/serialize.hpp). Mutable
 //     policies persist through their canonical static image and thaw on
@@ -143,9 +144,9 @@ class Sequence {
   }
 
   /// Builds from strings already encoded by (an equal instantiation of)
-  /// `codec` — the engine layer's hook for WAL replay and segment
-  /// compaction, where values were encoded once at ingest and round-trip as
-  /// bits. The distinct set must be prefix-free, as with every codec here.
+  /// `codec`, where values were encoded once and round-trip as bits (the
+  /// reference the node-by-node Freeze and Concat are tested against).
+  /// The distinct set must be prefix-free, as with every codec here.
   static Sequence FromEncoded(const std::vector<wt::BitString>& enc,
                               Codec codec = {}) {
     Sequence out(std::move(codec));
@@ -479,13 +480,15 @@ class Sequence {
   // -------------------------------------------------------------- lifecycle
 
   /// Snapshots this sequence into the Static policy (Theorem 3.7) — the
-  /// "flush" of a streaming ingest path. Extraction uses the Section 5
-  /// sequential scan; construction uses the word-parallel BulkBuild.
+  /// "flush" of a streaming ingest path. The static trie is built node by
+  /// node from the dynamic one (WaveletTrie::Concat): each node's label and
+  /// bitvector are copied, no string is extracted, and the image is
+  /// byte-identical to a BulkBuild of the sequence.
   Sequence<Static, Codec> Freeze() const {
     Sequence<Static, Codec> out(codec_);
     out.encoded_bits_ = encoded_bits_;
     if constexpr (kMutable) {
-      out.trie_ = wt::WaveletTrie::BulkBuild(ExtractEncoded());
+      out.trie_ = trie_.Freeze();
     } else {
       out.trie_ = trie_;      // already static: plain copy
       out.storage_ = storage_;  // a borrowed trie needs its blob alive
@@ -508,6 +511,30 @@ class Sequence {
     return out;
   }
 
+  /// The concatenation of `parts`, in order, as one static sequence — the
+  /// engine's segment merge. Built node by node by WaveletTrie::Concat (no
+  /// string is extracted; the image is byte-identical to FromEncoded over
+  /// the parts' strings); the encoded-bits budgets add up. Callers check
+  /// the sum against kMaxEncodedBits first — the trie builder aborts past
+  /// its beta-bit cap.
+  static Sequence Concat(std::span<const Sequence* const> parts,
+                         Codec codec = {})
+    requires(!kMutable)
+  {
+    Sequence out(std::move(codec));
+    std::vector<wt::WaveletTrie::Walk> walks;
+    walks.reserve(parts.size());
+    for (const Sequence* p : parts) {
+      out.encoded_bits_ += p->encoded_bits_;
+      walks.emplace_back(p->trie_);
+    }
+    std::vector<const wt::TrieWalk*> srcs;
+    srcs.reserve(walks.size());
+    for (const auto& w : walks) srcs.push_back(&w);
+    out.trie_ = wt::WaveletTrie::Concat(srcs);
+    return out;
+  }
+
   // ------------------------------------------------------------ persistence
 
   static constexpr uint64_t kMagic = 0x5754534551415031ull;  // "WTSEQAP1"
@@ -527,17 +554,17 @@ class Sequence {
   /// the static image on the fly — every policy writes the same payload
   /// format, so any policy can Load any file.
   Status Save(std::ostream& out) const {
-    // Known limitation: saving a mutable policy materializes the extracted
-    // strings and the static image in memory before the envelope is
-    // written (the checksum needs the whole payload). Shard very large
-    // sequences at the application level before saving.
+    // Known limitation: saving a mutable policy materializes the static
+    // image in memory before the envelope is written (the checksum needs
+    // the whole payload). Shard very large sequences at the application
+    // level before saving.
     std::ostringstream payload;
     if constexpr (internal::kHasCodecState<Codec>) {
       codec_.SaveState(payload);
     }
     wt::WritePod<uint64_t>(payload, encoded_bits_);  // v3 payload field
     if constexpr (kMutable) {
-      wt::WaveletTrie::BulkBuild(ExtractEncoded()).Save(payload);
+      trie_.Freeze().Save(payload);
     } else {
       trie_.Save(payload);
     }
@@ -739,9 +766,8 @@ class Sequence {
   uint64_t EncodedBits() const { return encoded_bits_; }
 
   /// The whole sequence as encoded strings, extracted with the Section 5
-  /// sequential scan (one Rank per trie node total, not per element). This
-  /// is the engine layer's segment-merge hook: segments are re-linearized
-  /// and rebuilt through FromEncoded without a decode/encode round trip.
+  /// sequential scan (one Rank per trie node total, not per element). Thaw
+  /// replays these; freezing and merging never extract (see Concat).
   std::vector<wt::BitString> ExtractEncoded() const {
     std::vector<wt::BitString> enc;
     enc.reserve(size());

@@ -212,6 +212,14 @@ class AppendOnlyBitVector {
 
   Iterator IteratorAt(size_t pos) const { return Iterator(this, pos); }
 
+  /// Appends every bit to `out`: the constant prefix as one run, each
+  /// sealed chunk block by block out of its RRR, the buffer word by word.
+  void AppendTo(BitArray* out) const {
+    out->AppendRun(prefix_bit_, prefix_len_);
+    for (const Rrr& c : chunks_) c.AppendTo(out, 0, c.size());
+    out->AppendRange(buffer_, 0, buffer_.size());
+  }
+
  private:
   /// Appends `len` (<= 64) bits of `value` into the tail buffer, keeping the
   /// per-word ones counts: one entry is due for every buffer word whose first

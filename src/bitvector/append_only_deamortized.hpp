@@ -229,6 +229,16 @@ class DeamortizedAppendOnlyBitVector {
 
   Iterator IteratorAt(size_t pos) const { return Iterator(this, pos); }
 
+  /// Appends every bit to `out`: the constant prefix as one run, the
+  /// compressed chunks block by block, the pending chunk's raw bits and
+  /// the buffer word by word.
+  void AppendTo(BitArray* out) const {
+    out->AppendRun(prefix_bit_, prefix_len_);
+    for (const Rrr& c : chunks_) c.AppendTo(out, 0, c.size());
+    if (pending_) out->AppendRange(pending_->raw, 0, pending_->raw.size());
+    out->AppendRange(buffer_, 0, buffer_.size());
+  }
+
   size_t SizeInBits() const {
     size_t bits = buffer_.SizeInBits() + 64 * cum_ones_.capacity() +
                   32 * buffer_word_ones_.capacity() +

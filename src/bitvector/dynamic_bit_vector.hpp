@@ -13,6 +13,7 @@
 // [Ferragina-Giancarlo-Manzini 2009, ref. 6 in the paper].
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -360,6 +361,20 @@ class DynamicBitVector {
 
   using Iterator = BitTree<RleLeaf>::Iterator;
   Iterator IteratorAt(size_t pos) const { return Iterator(&tree_, pos); }
+
+  /// Appends every bit to `out`, decoded run by run through the iterator
+  /// and packed 64 to a word.
+  void AppendTo(BitArray* out) const {
+    const size_t n = size();
+    if (n == 0) return;
+    Iterator it = IteratorAt(0);
+    for (size_t i = 0; i < n; i += kWordBits) {
+      const size_t len = std::min(kWordBits, n - i);
+      uint64_t word = 0;
+      for (size_t j = 0; j < len; ++j) word |= uint64_t(it.Next()) << j;
+      out->AppendBits(word, len);
+    }
+  }
 
  private:
   BitTree<RleLeaf> tree_;

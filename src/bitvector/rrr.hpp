@@ -29,6 +29,7 @@
 // DESIGN.md #6).
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <vector>
@@ -432,6 +433,34 @@ class Rrr {
     size_t pos_;
     uint64_t cur_word_ = 0;
   };
+
+  /// Appends bits [begin, begin+len) to `out`, one decoded 63-bit block at
+  /// a time: one directory lookup to find the first block, then the class
+  /// and offset streams are walked forward. Returns the ones copied.
+  size_t AppendTo(BitArray* out, size_t begin, size_t len) const {
+    using namespace rrr_internal;
+    WT_DASSERT(begin + len <= n_);
+    if (len == 0) return 0;
+    size_t b = begin / kBlockBits;
+    size_t off_pos;
+    RankAtBlock(b, &off_pos);
+    size_t skip = begin - b * kBlockBits;
+    size_t ones = 0;
+    while (len > 0) {
+      const unsigned k = ClassOf(b);
+      const unsigned width = kOffsetWidth.w[k];
+      const uint64_t off = width == 0 ? 0 : offsets_.GetBits(off_pos, width);
+      const size_t take = std::min(len, kBlockBits - skip);
+      const uint64_t bits = (DecodeBlock(off, k) >> skip) & LowMask(take);
+      out->AppendBits(bits, take);
+      ones += static_cast<size_t>(PopCount(bits));
+      len -= take;
+      skip = 0;
+      off_pos += width;
+      ++b;
+    }
+    return ones;
+  }
 
  private:
   // LoadBits that never reads past the end of the backing words.

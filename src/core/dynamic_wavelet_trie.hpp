@@ -32,6 +32,7 @@
 #include "common/assert.hpp"
 #include "common/bit_string.hpp"
 #include "core/batch_dedup.hpp"
+#include "core/wavelet_trie.hpp"
 
 namespace wt {
 
@@ -562,6 +563,49 @@ class DynamicWaveletTrieT {
     std::vector<NodeDebug> out;
     DebugRec(root_, &out);
     return out;
+  }
+
+ private:
+  struct Node;
+
+ public:
+  /// TrieWalk view for WaveletTrie::Concat; node handles are node
+  /// pointers. The trie must outlive the walk and stay unmodified.
+  class Walk final : public TrieWalk {
+   public:
+    explicit Walk(const DynamicWaveletTrieT& t) : t_(&t) {}
+    size_t size() const override { return t_->n_; }
+    Node Root() const override { return Handle(t_->root_); }
+    BitSpan Label(Node v) const override { return At(v)->label.Span(); }
+    bool IsInternal(Node v) const override { return !At(v)->IsLeaf(); }
+    Node Child(Node v, bool bit) const override {
+      return Handle(At(v)->child[bit]);
+    }
+    size_t AppendBeta(Node v, size_t len, BitArray* out) const override {
+      const BV& beta = At(v)->beta;
+      WT_DASSERT(beta.size() == len);
+      (void)len;
+      beta.AppendTo(out);
+      return beta.num_ones();
+    }
+
+   private:
+    using TrieNode = typename DynamicWaveletTrieT::Node;
+    static Node Handle(const TrieNode* v) {
+      return reinterpret_cast<Node>(v);
+    }
+    static const TrieNode* At(Node v) {
+      return reinterpret_cast<const TrieNode*>(v);
+    }
+    const DynamicWaveletTrieT* t_;
+  };
+
+  /// The static representation of this sequence (Theorem 3.7), built
+  /// node by node by WaveletTrie::Concat — no string is extracted.
+  WaveletTrie Freeze() const {
+    const Walk walk(*this);
+    const TrieWalk* parts[] = {&walk};
+    return WaveletTrie::Concat(parts);
   }
 
  private:

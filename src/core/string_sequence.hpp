@@ -165,19 +165,14 @@ class StringSequence {
   }
 
   /// Snapshots a dynamic sequence into the static representation (Theorem
-  /// 3.7) — the "flush" of a streaming ingest path. Extraction uses the
-  /// Section 5 sequential scan (one Rank per trie node for the whole
-  /// sequence), not n independent Access calls.
+  /// 3.7) — the "flush" of a streaming ingest path. Built node by node
+  /// (WaveletTrie::Concat): labels and bitvectors are copied, no string is
+  /// extracted.
   StringSequence<WaveletTrie, Codec> Freeze() const
     requires(!kStatic)
   {
-    std::vector<BitString> enc;
-    enc.reserve(trie_.size());
-    trie_.ForEachInRange(0, trie_.size(), [&](size_t, const BitString& s) {
-      enc.push_back(s);
-    });
     StringSequence<WaveletTrie, Codec> out(codec_);
-    out.trie_ = WaveletTrie::BulkBuild(enc);
+    out.trie_ = trie_.Freeze();
     return out;
   }
 

@@ -58,6 +58,26 @@ namespace wt {
 //   distinct enumeration: fn(const BitString& value, size_t multiplicity)
 //   sequential access:    fn(size_t position, const BitString& value)
 
+/// A trie that WaveletTrie::Concat walks node by node: a binary Patricia
+/// trie whose internal nodes carry the bitvector routing their positions
+/// to the two children. Implemented by WaveletTrie::Walk and
+/// DynamicWaveletTrieT::Walk. Node handles are opaque words — a preorder
+/// id in a static trie, a node pointer in a dynamic one.
+class TrieWalk {
+ public:
+  using Node = uintptr_t;
+  virtual ~TrieWalk() = default;
+  /// Number of stored strings; an empty trie has no root.
+  virtual size_t size() const = 0;
+  virtual Node Root() const = 0;
+  virtual BitSpan Label(Node v) const = 0;
+  virtual bool IsInternal(Node v) const = 0;
+  virtual Node Child(Node v, bool bit) const = 0;
+  /// Appends internal node v's bitvector — `len` bits, one per position
+  /// routed through v — to `out`, and returns how many of them are ones.
+  virtual size_t AppendBeta(Node v, size_t len, BitArray* out) const = 0;
+};
+
 class WaveletTrie {
  public:
   /// Capacity of one static trie: the concatenated per-node branch
@@ -139,16 +159,7 @@ class WaveletTrie {
       stack.push_back({f.begin, mid, split + 1});
     }
 
-    shape_ = BinaryTreeShape(std::move(shape_bits));
-    labels_.ShrinkToFit();
-    label_ends_ = EliasFano(label_ends, labels_.size());
-    WT_ASSERT_MSG(beta_bits.size() <= kMaxBetaBits,
-                  "WaveletTrie: total beta bits exceed 2^32-1 (the packed RRR "
-                  "directory limit); split the sequence across tries "
-                  "(src/engine/) instead");
-    beta_ = Rrr(beta_bits);
-    beta_ends_ = EliasFano(beta_ends, beta_bits.size());
-    BuildHeaders();
+    Finish(std::move(shape_bits), label_ends, beta_bits, beta_ends);
   }
 
   /// Word-parallel bulk construction (the DESIGN.md #4 fast path). Produces
@@ -265,18 +276,118 @@ class WaveletTrie {
       stack.push_back({f.dbegin, dmid, f.obegin, omid, split + 1});
     }
 
-    out.shape_ = BinaryTreeShape(std::move(shape_bits));
-    out.labels_.ShrinkToFit();
-    out.label_ends_ = EliasFano(label_ends, out.labels_.size());
-    WT_ASSERT_MSG(beta_bits.size() <= kMaxBetaBits,
-                  "WaveletTrie: total beta bits exceed 2^32-1 (the packed RRR "
-                  "directory limit); split the sequence across tries "
-                  "(src/engine/) instead");
-    out.beta_ = Rrr(beta_bits);
-    out.beta_ends_ = EliasFano(beta_ends, beta_bits.size());
-    out.BuildHeaders();
+    out.Finish(std::move(shape_bits), label_ends, beta_bits, beta_ends);
     return out;
   }
+
+  /// Structural concatenation (DESIGN.md #4): the trie of parts[0]'s
+  /// sequence followed by parts[1]'s, and so on — byte-identical to
+  /// BulkBuild over the concatenated strings, without extracting one. The
+  /// trie of S1·S2 is the Patricia trie of the union alphabet, and each
+  /// node's beta is beta(S1)·beta(S2) (Definition 3.1). The union trie is
+  /// walked in preorder carrying, per source, a cursor: its node, an
+  /// offset into that node's label, and its positions in the subtree. A
+  /// merged node's label is the LCP of the sources' remaining labels; its
+  /// beta takes, source by source in order, the source's own beta where
+  /// the source branches there, or a constant run of its count where the
+  /// source is still inside a label — the Init(b, m) of Theorem 4.3.
+  /// O(union nodes x sources + label bits + beta bits / 63) plus the RRR
+  /// encoding of the result.
+  static WaveletTrie Concat(std::span<const TrieWalk* const> parts) {
+    struct Cursor {
+      const TrieWalk* src;
+      TrieWalk::Node v;
+      size_t offset;  // bits of v's label already consumed
+      size_t count;   // positions of this source in the subtree
+    };
+    WaveletTrie out;
+    // Cursors of every pending frame, stacked in frame order: the frame
+    // popped next always owns the tail of the pool.
+    std::vector<Cursor> pool;
+    for (const TrieWalk* p : parts) {
+      if (p->size() == 0) continue;
+      out.n_ += p->size();
+      pool.push_back({p, p->Root(), 0, p->size()});
+    }
+    if (out.n_ == 0) return out;
+    BitArray shape_bits;
+    BitArray beta_bits;
+    std::vector<uint64_t> label_ends;
+    std::vector<uint64_t> beta_ends;
+    std::vector<size_t> stack{0};  // pool index where each frame starts
+    std::vector<Cursor> cur, left, right;
+    const auto rest = [](const Cursor& c) {
+      return c.src->Label(c.v).SubSpan(c.offset);
+    };
+    while (!stack.empty()) {
+      cur.assign(pool.begin() + static_cast<ptrdiff_t>(stack.back()),
+                 pool.end());
+      pool.resize(stack.back());
+      stack.pop_back();
+      const BitSpan first = rest(cur[0]);
+      size_t lcp = first.size();
+      for (size_t i = 1; i < cur.size() && lcp > 0; ++i) {
+        lcp = std::min(lcp, rest(cur[i]).Lcp(first));
+      }
+      out.labels_.AppendWords(first.words(), first.start_bit(), lcp);
+      label_ends.push_back(out.labels_.size());
+      const auto ends_at_leaf = [&](const Cursor& c) {
+        return !c.src->IsInternal(c.v) && rest(c).size() == lcp;
+      };
+      if (std::any_of(cur.begin(), cur.end(), ends_at_leaf)) {
+        // One string ends here; by prefix-freeness every source's must.
+        WT_ASSERT_MSG(std::all_of(cur.begin(), cur.end(), ends_at_leaf),
+                      "WaveletTrie: input set is not prefix-free");
+        shape_bits.PushBack(false);  // leaf
+        continue;
+      }
+      shape_bits.PushBack(true);  // internal
+      left.clear();
+      right.clear();
+      for (const Cursor& c : cur) {
+        const BitSpan r = rest(c);
+        if (r.size() == lcp) {  // the source branches here too
+          const size_t ones = c.src->AppendBeta(c.v, c.count, &beta_bits);
+          WT_DASSERT(ones > 0 && ones < c.count);
+          left.push_back({c.src, c.src->Child(c.v, false), 0, c.count - ones});
+          right.push_back({c.src, c.src->Child(c.v, true), 0, ones});
+        } else {  // still inside its label: every position goes one way
+          const bool bit = r.Get(lcp);
+          beta_bits.AppendRun(bit, c.count);
+          (bit ? right : left)
+              .push_back({c.src, c.v, c.offset + lcp + 1, c.count});
+        }
+      }
+      beta_ends.push_back(beta_bits.size());
+      // Preorder: left subtree first, so push right first.
+      stack.push_back(pool.size());
+      pool.insert(pool.end(), right.begin(), right.end());
+      stack.push_back(pool.size());
+      pool.insert(pool.end(), left.begin(), left.end());
+    }
+    out.Finish(std::move(shape_bits), label_ends, beta_bits, beta_ends);
+    return out;
+  }
+
+  /// TrieWalk view of a static trie (heap-owned or borrowed from an
+  /// image); node handles are preorder ids.
+  class Walk final : public TrieWalk {
+   public:
+    explicit Walk(const WaveletTrie& t) : t_(&t) {}
+    size_t size() const override { return t_->n_; }
+    Node Root() const override { return 0; }
+    BitSpan Label(Node v) const override { return t_->Label(v); }
+    bool IsInternal(Node v) const override { return t_->IsInternalNode(v); }
+    Node Child(Node v, bool bit) const override {
+      return bit ? t_->RightChildOf(v) : v + 1;
+    }
+    size_t AppendBeta(Node v, size_t len, BitArray* out) const override {
+      return t_->beta_.AppendTo(out, t_->BetaLoc(v).first, len);
+    }
+
+   private:
+    const WaveletTrie* t_;
+  };
 
   size_t size() const { return n_; }
   bool empty() const { return n_ == 0; }
@@ -803,6 +914,22 @@ class WaveletTrie {
   /// strings at height 30, more when strings repeat; n itself is unbounded
   /// when the alphabet is a single string). Label bits and node count keep
   /// the guard.
+  /// Shared tail of every construction path: the components out of the
+  /// preorder shape bits, label ends, concatenated betas and beta ends.
+  void Finish(BitArray shape_bits, const std::vector<uint64_t>& label_ends,
+              const BitArray& beta_bits, const std::vector<uint64_t>& beta_ends) {
+    shape_ = BinaryTreeShape(std::move(shape_bits));
+    labels_.ShrinkToFit();
+    label_ends_ = EliasFano(label_ends, labels_.size());
+    WT_ASSERT_MSG(beta_bits.size() <= kMaxBetaBits,
+                  "WaveletTrie: total beta bits exceed 2^32-1 (the packed RRR "
+                  "directory limit); split the sequence across tries "
+                  "(src/engine/) instead");
+    beta_ = Rrr(beta_bits);
+    beta_ends_ = EliasFano(beta_ends, beta_bits.size());
+    BuildHeaders();
+  }
+
   void BuildHeaders() {
     headers_.clear();
     if (n_ == 0) return;

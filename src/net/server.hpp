@@ -793,6 +793,7 @@ class Server {
     std::vector<std::string> rank_vals, select_vals;
     std::vector<size_t> append_reqs;
     std::vector<std::string> append_vals;
+    std::vector<size_t> analytics_reqs;  // CountPrefix and Frequent
 
     for (size_t i = 0; i < batch.size(); ++i) {
       RequestBody& b = batch[i].body;
@@ -846,37 +847,11 @@ class Server {
           }
           break;
         }
-        case MsgType::kCountPrefix: {
-          if constexpr (SnapshotT::kHasPrefixCodec) {
-            std::string& w = reply[i];
-            w.clear();
-            AppendPod<uint8_t>(w, static_cast<uint8_t>(WireStatus::kOk));
-            AppendPod<uint32_t>(w, static_cast<uint32_t>(b.strings.size()));
-            for (const std::string& p : b.strings) {
-              AppendPod<uint64_t>(w, snap.CountPrefix(p));
-            }
-          } else {
-            reply[i].assign(1, static_cast<char>(WireStatus::kBadRequest));
-          }
+        case MsgType::kCountPrefix:
+        case MsgType::kFrequent:
+          // Answered request by request after the stage split below.
+          analytics_reqs.push_back(i);
           break;
-        }
-        case MsgType::kFrequent: {
-          wtrie::Result<wtrie::DistinctCursor<std::string>> cur =
-              snap.Frequent(b.range_lo, b.range_hi, b.threshold);
-          if (!cur.ok()) {
-            reply[i].assign(1, static_cast<char>(ToWireStatus(cur.status())));
-            break;
-          }
-          std::string& w = reply[i];
-          w.clear();
-          AppendPod<uint8_t>(w, static_cast<uint8_t>(WireStatus::kOk));
-          AppendPod<uint32_t>(w, static_cast<uint32_t>(cur->size()));
-          while (cur->Next()) {
-            AppendStr(w, cur->value());
-            AppendPod<uint64_t>(w, cur->count());
-          }
-          break;
-        }
         case MsgType::kAppend: {
           append_reqs.push_back(i);
           for (std::string& v : b.strings) append_vals.push_back(std::move(v));
@@ -896,6 +871,39 @@ class Server {
     // reply encoding (wt_serving_engine_batch_us).
     const uint64_t tc1 = wt::obs::TimerStart();
     acc_coalesce_us_.Add((tc1 - tc0) / 1000);
+
+    // CountPrefix and Frequent have no merged column; each request is its
+    // own engine walk.
+    for (size_t i : analytics_reqs) {
+      const RequestBody& b = batch[i].body;
+      std::string& w = reply[i];
+      if (b.type == MsgType::kCountPrefix) {
+        if constexpr (SnapshotT::kHasPrefixCodec) {
+          w.clear();
+          AppendPod<uint8_t>(w, static_cast<uint8_t>(WireStatus::kOk));
+          AppendPod<uint32_t>(w, static_cast<uint32_t>(b.strings.size()));
+          for (const std::string& p : b.strings) {
+            AppendPod<uint64_t>(w, snap.CountPrefix(p));
+          }
+        } else {
+          w.assign(1, static_cast<char>(WireStatus::kBadRequest));
+        }
+        continue;
+      }
+      wtrie::Result<wtrie::DistinctCursor<std::string>> cur =
+          snap.Frequent(b.range_lo, b.range_hi, b.threshold);
+      if (!cur.ok()) {
+        w.assign(1, static_cast<char>(ToWireStatus(cur.status())));
+        continue;
+      }
+      w.clear();
+      AppendPod<uint8_t>(w, static_cast<uint8_t>(WireStatus::kOk));
+      AppendPod<uint32_t>(w, static_cast<uint32_t>(cur->size()));
+      while (cur->Next()) {
+        AppendStr(w, cur->value());
+        AppendPod<uint64_t>(w, cur->count());
+      }
+    }
 
     if (!access_slices.empty()) {
       std::vector<std::string> fresh;

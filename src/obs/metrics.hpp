@@ -216,15 +216,15 @@ struct HistogramSnapshot {
     return kHistogramBuckets - 1;
   }
 
-  /// Reported quantile value: exact for unit buckets, the bucket's upper
-  /// bound otherwise (a <= 25% over-estimate), and the recorded max when
-  /// the rank lands in the unbounded overflow bucket. 0 when empty.
+  /// Reported quantile value: exact for unit buckets, otherwise the
+  /// bucket's upper bound (a <= 25% over-estimate) clamped to the recorded
+  /// max — no sample exceeds it, and the unbounded overflow bucket reports
+  /// it outright. 0 when empty.
   uint64_t Quantile(double q) const {
     const size_t b = QuantileBucket(q);
     if (b >= kHistogramBuckets) return 0;
     if (b < 16) return static_cast<uint64_t>(b);
-    if (b == kHistogramBuckets - 1) return max;
-    return HistogramBucketUpperBound(b);
+    return std::min(HistogramBucketUpperBound(b), max);
   }
 
   uint64_t Mean() const { return count == 0 ? 0 : sum / count; }

@@ -6,16 +6,22 @@
 //     must be *identical* (same trie shape, same beta contents, same counts),
 //     checked over >= 10k mixed Zipf/uniform strings;
 //   * WaveletTrie::BulkBuild vs the reference constructor — byte-identical
-//     serialization.
+//     serialization;
+//   * WaveletTrie::Concat (static and dynamic sources, heap and mapped) vs
+//     BulkBuild over the concatenated strings — byte-identical images.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <filesystem>
+#include <fstream>
 #include <random>
 #include <span>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "api/sequence.hpp"
 #include "bitvector/append_only.hpp"
 #include "bitvector/append_only_deamortized.hpp"
 #include "bitvector/dynamic_bit_vector.hpp"
@@ -444,6 +450,285 @@ TEST(StringSequenceBatch, AppendBatchMatchesAppendAndFreeze) {
   for (size_t i = 0; i < urls.size(); i += 61) {
     ASSERT_EQ(frozen.Access(i), urls[i]);
   }
+}
+
+// ------------------------------------------------ structural concatenation
+//
+// WaveletTrie::Concat must yield exactly the image BulkBuild makes from the
+// concatenated strings — same shape, labels, betas and node headers — for
+// any mix of static and dynamic sources.
+
+std::string ImageBytes(const WaveletTrie& t) {
+  storage::ImageWriter w;
+  t.SaveImage(w);
+  return w.Finish(0, t.size(), 0);
+}
+
+std::vector<BitString> Strings(const WaveletTrie& t) {
+  std::vector<BitString> out;
+  t.ForEachInRange(0, t.size(),
+                   [&](size_t, const BitString& s) { out.push_back(s); });
+  return out;
+}
+
+std::vector<BitString> EncodeAll(const std::vector<std::string>& values) {
+  std::vector<BitString> out;
+  for (const auto& v : values) out.push_back(ByteCodec::Encode(v));
+  return out;
+}
+
+/// Random strings over `letters`, each starting with `prefix`.
+std::vector<std::string> RandomStrings(size_t n, const std::string& prefix,
+                                       const std::string& letters,
+                                       uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::vector<std::string> out;
+  for (size_t i = 0; i < n; ++i) {
+    std::string s = prefix;
+    const size_t len = rng() % 6;
+    for (size_t j = 0; j < len; ++j) s.push_back(letters[rng() % letters.size()]);
+    out.push_back(std::move(s));
+  }
+  return out;
+}
+
+/// Concat over `parts` equals BulkBuild over `strings` (the parts' strings,
+/// concatenated in order), byte for byte.
+void ExpectConcatMatches(const std::vector<const TrieWalk*>& parts,
+                         const std::vector<std::vector<BitString>>& strings) {
+  std::vector<BitString> all;
+  for (const auto& part : strings) all.insert(all.end(), part.begin(), part.end());
+  const WaveletTrie want = WaveletTrie::BulkBuild(all);
+  const WaveletTrie got = WaveletTrie::Concat(parts);
+  ASSERT_EQ(got.size(), all.size());
+  ASSERT_EQ(ImageBytes(got), ImageBytes(want));
+  std::ostringstream a, b;
+  got.Save(a);
+  want.Save(b);
+  ASSERT_EQ(a.str(), b.str());
+  for (size_t i = 0; i < all.size(); i += 7) ASSERT_EQ(got.Access(i), all[i]);
+}
+
+/// Concat of static tries built from `sources` (empty sources included).
+void ExpectStaticConcatMatches(const std::vector<std::vector<BitString>>& sources) {
+  std::vector<WaveletTrie> tries;
+  for (const auto& src : sources) tries.push_back(WaveletTrie::BulkBuild(src));
+  std::vector<WaveletTrie::Walk> walks;
+  for (const auto& t : tries) walks.emplace_back(t);
+  std::vector<const TrieWalk*> parts;
+  for (const auto& w : walks) parts.push_back(&w);
+  ExpectConcatMatches(parts, sources);
+}
+
+TEST(TrieConcat, KStaticSourcesWithEmptyAndSingletonParts) {
+  const std::vector<BitString> one{ByteCodec::Encode("www.d3.com/x")};
+  for (size_t k : {1, 2, 3, 5}) {
+    for (uint64_t seed = 1; seed <= 3; ++seed) {
+      std::vector<std::vector<BitString>> sources;
+      for (size_t i = 0; i < k; ++i) {
+        // Every third part is empty and every fifth a single string; the
+        // rest share one URL alphabet, so most nodes exist in every part.
+        if ((i + seed) % 3 == 0) {
+          sources.emplace_back();
+        } else if ((i + seed) % 5 == 0) {
+          sources.push_back(one);
+        } else {
+          sources.push_back(MixedWorkload(300 + 100 * i, 50, seed * 10 + i));
+        }
+      }
+      SCOPED_TRACE(testing::Message() << "k=" << k << " seed=" << seed);
+      ExpectStaticConcatMatches(sources);
+    }
+  }
+  ExpectStaticConcatMatches({});
+  ExpectStaticConcatMatches({{}, {}, {}});
+  ExpectStaticConcatMatches({one});
+  ExpectStaticConcatMatches({one, one, one});
+  ExpectStaticConcatMatches({{}, one, {}});
+}
+
+TEST(TrieConcat, DisjointAlphabets) {
+  ExpectStaticConcatMatches({
+      EncodeAll(RandomStrings(400, "", "abc", 1)),
+      EncodeAll(RandomStrings(300, "", "xyz", 2)),
+      EncodeAll(RandomStrings(200, "", "019", 3)),
+  });
+  // The same alphabets interleaved across five parts.
+  ExpectStaticConcatMatches({
+      EncodeAll(RandomStrings(100, "", "xyz", 4)),
+      EncodeAll(RandomStrings(100, "", "abc", 5)),
+      EncodeAll(RandomStrings(100, "", "xyz", 6)),
+      EncodeAll(RandomStrings(100, "", "019", 7)),
+      EncodeAll(RandomStrings(100, "", "abc", 8)),
+  });
+}
+
+TEST(TrieConcat, NestedAlphabetRunsInMidLabel) {
+  // Bit level, by hand: A = {0000 0 000, 0000 1 111} has root label 0000;
+  // B = {0000 0 010, 0000 0 011} lies inside A's left subtree. At the root
+  // B is still inside its label (a constant run of 0s); in the left child
+  // B branches one bit into A's leaf label "000", where A contributes the
+  // constant run.
+  const auto bits = [](std::initializer_list<const char*> xs) {
+    std::vector<BitString> out;
+    for (const char* x : xs) out.push_back(BitString::FromString(x));
+    return out;
+  };
+  const auto a = bits({"00000000", "00001111", "00000000"});
+  const auto b = bits({"00000010", "00000011", "00000011"});
+  ExpectStaticConcatMatches({a, b});
+  ExpectStaticConcatMatches({b, a});
+  ExpectStaticConcatMatches({b, a, b});
+  // URL level: B's strings extend prefixes of A's strings cut in the
+  // middle of a byte, inside A's labels and subtrees.
+  UrlLogOptions opt;
+  opt.num_domains = 30;
+  opt.paths_per_domain = 8;
+  UrlLogGenerator gen(opt);
+  const std::vector<std::string> urls = gen.Take(2000);
+  std::vector<std::string> nested;
+  std::mt19937_64 rng(11);
+  for (size_t i = 0; i < 500; ++i) {
+    const std::string& u = urls[rng() % 20];
+    nested.push_back(u.substr(0, u.size() / 2) + "~" + std::to_string(rng() % 9));
+  }
+  ExpectStaticConcatMatches({EncodeAll(urls), EncodeAll(nested)});
+  ExpectStaticConcatMatches({EncodeAll(nested), EncodeAll(urls)});
+  ExpectStaticConcatMatches(
+      {EncodeAll(nested), EncodeAll(urls), EncodeAll(nested)});
+}
+
+TEST(TrieConcat, PrefixViolationAcrossSourcesAborts) {
+  const WaveletTrie a = WaveletTrie::BulkBuild({BitString::FromString("0110")});
+  const WaveletTrie b = WaveletTrie::BulkBuild({BitString::FromString("011")});
+  const WaveletTrie::Walk wa(a), wb(b);
+  const TrieWalk* parts[] = {&wa, &wb};
+  EXPECT_DEATH(WaveletTrie::Concat(parts),
+               "not prefix-free");
+}
+
+template <typename Trie>
+class TrieConcatMemtable : public ::testing::Test {};
+TYPED_TEST_SUITE(TrieConcatMemtable, TrieTypes);
+
+TYPED_TEST(TrieConcatMemtable, FreezeAndMixWithStaticSources) {
+  // 8195 strings: the root beta ends 3 bits past a chunk seal, so the
+  // de-amortized bitvector still has a pending chunk when it is copied.
+  const auto seq = MixedWorkload(6000, 2195, 5);
+  TypeParam mem;
+  std::vector<BitString> kept = seq;
+  if constexpr (TypeParam::kFullyDynamic) {
+    // Deletes, including whole strings, shrink the alphabet and merge
+    // nodes; the concatenation must see the merged trie.
+    mem.AppendBatch(seq);
+    std::mt19937_64 rng(3);
+    for (int i = 0; i < 600; ++i) {
+      const size_t pos = rng() % kept.size();
+      mem.Delete(pos);
+      kept.erase(kept.begin() + static_cast<ptrdiff_t>(pos));
+    }
+    const BitString gone = kept[0];
+    for (size_t pos = kept.size(); pos-- > 0;) {
+      if (kept[pos] == gone) {
+        mem.Delete(pos);
+        kept.erase(kept.begin() + static_cast<ptrdiff_t>(pos));
+      }
+    }
+  } else {
+    for (size_t i = 0; i < 100; ++i) mem.Append(seq[i]);
+    std::vector<BitSpan> rest;
+    for (size_t i = 100; i < seq.size(); ++i) rest.push_back(seq[i].Span());
+    mem.AppendBatch(std::span<const BitSpan>(rest));
+  }
+  ASSERT_EQ(mem.size(), kept.size());
+  ASSERT_EQ(ImageBytes(mem.Freeze()), ImageBytes(WaveletTrie::BulkBuild(kept)));
+
+  const typename TypeParam::Walk mw(mem);
+  const auto before = MixedWorkload(700, 300, 8);
+  const WaveletTrie st = WaveletTrie::BulkBuild(before);
+  const WaveletTrie::Walk sw(st);
+  TypeParam small;
+  const std::vector<BitString> tiny{seq[1], seq[2], seq[1]};
+  small.AppendBatch(tiny);
+  const typename TypeParam::Walk tw(small);
+  TypeParam empty;
+  const typename TypeParam::Walk ew(empty);
+  ExpectConcatMatches({&sw, &mw}, {before, kept});
+  ExpectConcatMatches({&mw, &ew, &sw, &tw, &mw}, {kept, {}, before, tiny, kept});
+}
+
+TEST(TrieConcat, SequenceFreezeAndSaveMatchFromEncoded) {
+  using Mem = wtrie::Sequence<wtrie::AppendOnly>;
+  using Dyn = wtrie::Sequence<wtrie::Dynamic>;
+  using Seg = wtrie::Sequence<wtrie::Static>;
+  UrlLogGenerator gen;
+  const auto urls = gen.Take(5000);
+  Mem mem;
+  ASSERT_TRUE(mem.AppendBatch(urls).ok());
+  const Seg frozen = mem.Freeze();
+  EXPECT_EQ(frozen.EncodedBits(), mem.EncodedBits());
+  EXPECT_EQ(frozen.SerializeImage(),
+            Seg::FromEncoded(mem.ExtractEncoded()).SerializeImage());
+  // Delete does not refund the encoded-bits budget, so compare the tries.
+  Dyn dyn(urls);
+  ASSERT_TRUE(dyn.Delete(17).ok());
+  EXPECT_EQ(ImageBytes(dyn.Freeze().trie()),
+            ImageBytes(Seg::FromEncoded(dyn.ExtractEncoded()).trie()));
+  // Mutable Save writes the frozen image: it reloads under Static with
+  // the same bytes.
+  std::stringstream ss;
+  ASSERT_TRUE(mem.Save(ss).ok());
+  auto loaded = Seg::Load(ss);
+  ASSERT_TRUE(loaded.ok());
+  EXPECT_EQ(loaded->SerializeImage(), frozen.SerializeImage());
+  // StringSequence::Freeze takes the same path.
+  StringSequence<AppendOnlyWaveletTrie> ss_mem;
+  ss_mem.AppendBatch(urls);
+  EXPECT_EQ(ImageBytes(ss_mem.Freeze().trie()),
+            ImageBytes(frozen.trie()));
+}
+
+TEST(TrieConcat, MappedSegmentsMatchFromEncoded) {
+  using Seg = wtrie::Sequence<wtrie::Static>;
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() /
+                       ("wtrie_concat_test_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  storage::Pager pager;
+  std::vector<Seg> segs;
+  std::vector<BitString> all;
+  for (uint64_t i = 0; i < 4; ++i) {
+    UrlLogOptions opt;
+    opt.num_domains = 10 + 20 * i;  // growing alphabets, shared prefixes
+    opt.seed = i + 1;
+    UrlLogGenerator gen(opt);
+    const Seg heap(gen.Take(i == 2 ? 1 : 1500 * (i + 1)));
+    const fs::path file = dir / ("seg" + std::to_string(i) + ".img");
+    {
+      std::ofstream out(file, std::ios::binary);
+      const std::string img = heap.SerializeImage();
+      out.write(img.data(), static_cast<std::streamsize>(img.size()));
+    }
+    std::string err;
+    auto mapped = Seg::LoadImage(pager.Map(file.string(), &err));
+    ASSERT_TRUE(mapped.ok()) << err;
+    ASSERT_NE(mapped->storage(), nullptr);
+    const auto enc = mapped->ExtractEncoded();
+    all.insert(all.end(), enc.begin(), enc.end());
+    segs.push_back(std::move(mapped).value());
+  }
+  std::vector<const Seg*> parts;
+  uint64_t bits = 0;
+  for (const Seg& s : segs) {
+    parts.push_back(&s);
+    bits += s.EncodedBits();
+  }
+  const Seg merged = Seg::Concat(parts);
+  EXPECT_EQ(merged.EncodedBits(), bits);
+  EXPECT_EQ(merged.SerializeImage(), Seg::FromEncoded(all).SerializeImage());
+  segs.clear();
+  fs::remove_all(dir);
 }
 
 }  // namespace

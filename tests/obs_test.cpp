@@ -3,6 +3,8 @@
 //   * histogram quantiles differentially against a sorted-vector oracle —
 //     the selected bucket must be EXACTLY the bucket holding the oracle's
 //     rank element, including the empty / single-sample / overflow edges;
+//   * snapshot properties over random histograms: quantiles ordered and
+//     never above max, count == sum of buckets, Merge associative;
 //   * counters and the registry under concurrency (runs under TSan in
 //     CI): values exact after join, monotone across live snapshots;
 //   * snapshot wire format: round trip, then an exhaustive one-byte
@@ -133,6 +135,45 @@ TEST(Histogram, MergeEqualsRecordingTheUnion) {
   EXPECT_EQ(merged.sum, want.sum);
   EXPECT_EQ(merged.max, want.max);
   EXPECT_EQ(merged.buckets, want.buckets);
+}
+
+HistogramSnapshot RandomHistogram(std::mt19937_64& rng) {
+  Histogram h;
+  const int n = static_cast<int>(rng() % 400);
+  // Each histogram draws from one random scale, so some live entirely in
+  // unit buckets, some in one octave, some in the overflow bucket.
+  const uint64_t scale = uint64_t{1} << (rng() % 24);
+  for (int i = 0; i < n; ++i) h.Record(rng() % (scale + 1));
+  return h.Snap();
+}
+
+TEST(Histogram, RandomSnapshotProperties) {
+  std::mt19937_64 rng(99);
+  for (int round = 0; round < 500; ++round) {
+    const HistogramSnapshot a = RandomHistogram(rng);
+    const HistogramSnapshot b = RandomHistogram(rng);
+    const HistogramSnapshot c = RandomHistogram(rng);
+    for (const HistogramSnapshot* s : {&a, &b, &c}) {
+      uint64_t total = 0;
+      for (uint64_t x : s->buckets) total += x;
+      ASSERT_EQ(s->count, total);
+      ASSERT_LE(s->Quantile(0.5), s->Quantile(0.99));
+      ASSERT_LE(s->Quantile(0.99), s->max);
+      ASSERT_LE(s->Quantile(1.0), s->max);
+    }
+    HistogramSnapshot left = a;  // (a + b) + c
+    left.Merge(b);
+    left.Merge(c);
+    HistogramSnapshot bc = b;  // a + (b + c)
+    bc.Merge(c);
+    HistogramSnapshot right = a;
+    right.Merge(bc);
+    ASSERT_EQ(left.count, right.count);
+    ASSERT_EQ(left.sum, right.sum);
+    ASSERT_EQ(left.max, right.max);
+    ASSERT_EQ(left.buckets, right.buckets);
+    ASSERT_LE(left.Quantile(0.99), left.max);
+  }
 }
 
 TEST(Counter, ExactUnderConcurrentWriters) {
